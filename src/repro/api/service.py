@@ -21,7 +21,10 @@ Three properties define the serving layer:
 * **cache-aware serving** — receptors register once by content hash, and
   every artifact lookup is content-addressed, so concurrent requests
   against the same receptor share grids, spectra and whole dock results
-  through the manager; a repeat request is served mapped-or-cached.
+  through the manager; a repeat request is served mapped-or-cached.  In
+  every streaming mode the request's manager owns the whole-stage
+  artifacts: process streaming looks them up in the parent before
+  dispatch and ships only misses to worker processes.
 * **request-scoped accounting** — each result carries the cache delta of
   *its own* request (:meth:`CacheManager.stats_scope`), which stays
   correct when jobs overlap on the shared manager.
@@ -44,6 +47,7 @@ import multiprocessing as mp
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -63,8 +67,10 @@ from repro.api.requests import (
 )
 from repro.cache.manager import CacheManager, CacheStats
 from repro.mapping import ftmap as _ftmap
+from repro.mapping.clustering import Cluster
 from repro.mapping.consensus import consensus_sites
-from repro.mapping.ftmap import FTMapConfig, FTMapResult, ProbeResult
+from repro.docking.engine import DockingRun
+from repro.mapping.ftmap import FTMapConfig, FTMapResult, MinimizeStage, ProbeResult
 from repro.obs.logging import log_event
 from repro.obs.metrics import registry
 from repro.obs.trace import Tracer, TracerLike
@@ -449,6 +455,8 @@ class FTMapService:
         def in_scope(fn):
             # Pipeline stages run on their own threads; attaching the
             # request's scope there keeps per-request stats complete.
+            # (The request's own thread carries it already: attaching it
+            # twice would count every operation twice.)
             if scope is None:
                 return fn
             def wrapper(x):
@@ -457,11 +465,12 @@ class FTMapService:
             return wrapper
 
         # Stages resolve through the module at call time, so the
-        # monkeypatch seam tests use on ftmap.dock_probe keeps working.
-        # Stage spans parent on the request's root span *explicitly*:
-        # in pipeline mode the stages run on pipeline-executor threads,
-        # and the explicit parent keeps the trace connected without
-        # relying on ambient context crossing the thread boundary.
+        # monkeypatch seams tests use on the ftmap stage functions keep
+        # working.  Stage spans parent on the request's root span
+        # *explicitly*: in pipeline mode the stages run on
+        # pipeline-executor threads, and the explicit parent keeps the
+        # trace connected without relying on ambient context crossing
+        # the thread boundary.
         def stage_dock(task: Tuple[int, Tuple[str, Molecule]]):
             index, (name, probe) = task
             handle._check_cancelled()
@@ -515,25 +524,12 @@ class FTMapService:
                     stage.centers, stage.energies, cfg
                 )
             stage_seconds.observe(time.perf_counter() - t_stage, stage="cluster")
-            return ProbeResult(
-                probe_name=name,
-                docked_poses=run.poses,
-                minimized=stage.results,
-                minimized_centers=stage.centers,
-                minimized_energies=stage.energies,
-                clusters=clusters,
-                docking_backend=run.backend,
-                minimize_backend=stage.backend,
-                minimize_devices=stage.devices,
-                minimize_shard_sizes=stage.shard_sizes,
-                minimize_reduction_order=stage.reduction_order,
-                minimize_cached=stage.cached,
-            )
+            return ProbeResult.from_stages(name, run, stage, clusters)
 
         if mode == "process" and total > 1:
             results = self._run_probes_process(
                 receptor, items, cfg, manager, handle, tracer, root,
-                stage_seconds,
+                stage_seconds, in_scope,
             )
         elif mode == "pipeline" and total > 1:
             executor = PipelineExecutor(
@@ -546,6 +542,37 @@ class FTMapService:
             ]
         return {pr.probe_name: pr for pr in results}
 
+    @staticmethod
+    def _lookup_probe(
+        receptor: Molecule,
+        probe: Molecule,
+        cfg: FTMapConfig,
+        manager: CacheManager,
+    ) -> "_CachedProbe":
+        """What the parent's cache already holds for one probe.
+
+        The lookup steps of the sequential path, in its order: the dock
+        result, and on a hit the minimized ensemble — whose key names the
+        backend ``"auto"`` resolves to, so a hit costs the engine build
+        here exactly as it does in :func:`~repro.mapping.ftmap.minimize_poses`.
+        """
+        if not manager.enabled:
+            return _CachedProbe()
+        found = _CachedProbe(dock_key=_ftmap.dock_result_key(receptor, probe, cfg))
+        found.run = _ftmap.lookup_dock(manager, found.dock_key)
+        if found.run is None:
+            return found
+        top = found.run.poses[: cfg.minimize_top]
+        if not top:
+            found.stage = MinimizeStage.empty()
+            return found
+        engine = _ftmap.minimization_engine(receptor, probe, top, cfg)
+        found.minimize_key = _ftmap.minimize_result_key(
+            receptor, probe, top, cfg, engine.backend
+        )
+        found.stage = _ftmap.lookup_minimize(manager, found.minimize_key)
+        return found
+
     def _run_probes_process(
         self,
         receptor: Molecule,
@@ -556,21 +583,36 @@ class FTMapService:
         tracer: TracerLike,
         root,
         stage_seconds,
+        in_scope,
     ) -> List[ProbeResult]:
-        """Process streaming: dock and minimize in separate worker processes.
+        """Process streaming: the parent serves from its cache, workers compute misses.
+
+        The request's manager is the only owner of the whole-stage
+        artifacts.  Every probe is looked up *before* dispatch, on the
+        request's thread (:meth:`_lookup_probe`); a probe that hits both
+        its dock result and its minimized ensemble is finished here and
+        never reaches a worker, and a fully warm request starts no worker
+        pool at all.  Misses run the compute steps in resident worker
+        processes (:mod:`repro.workers.stages`), and the parent stores
+        what they return under the keys the sequential path uses.  Each
+        task's cache delta (the intermediates the worker's own tier
+        served) is folded into the request's scope, so request stats do
+        not depend on the scheduling mode.
 
         Two parent threads (the same order-preserving
         :class:`PipelineExecutor` the thread path uses) each drive one
-        resident worker process, so probe ``k+1`` docks while probe ``k``
-        minimizes *GIL-independently*.  Pose ensembles and minimized
-        conformation stacks ship through shared-memory segments leased by
-        an :class:`~repro.workers.shm.ShmArena` — names reserved before
+        stage, so probe ``k+1`` docks while probe ``k`` minimizes
+        *GIL-independently*.  Pose ensembles and minimized conformation
+        stacks ship through shared-memory segments leased by an
+        :class:`~repro.workers.shm.ShmArena` — names reserved before
         dispatch, unlinked deterministically on completion, cancellation,
         failure or worker death.  Cancellation stays cooperative at stage
         boundaries; worker execution spans are stitched back into the
         request trace from serialized span context (one monotonic clock
-        per host).  The stage functions and fp64 numerics are exactly the
-        sequential path's, so results are bitwise-identical.
+        per host), and the ``dock``/``minimize`` spans record
+        ``cache="hit"|"miss"`` and ``where="parent"|"worker"``.  The stage
+        functions and fp64 numerics are exactly the sequential path's, so
+        results are bitwise-identical.
         """
         # Imported lazily: repro.workers pulls repro.api.errors back in,
         # and this module is importable before the workers package.
@@ -578,22 +620,39 @@ class FTMapService:
         from repro.workers import stages as _stages
 
         total = len(items)
-        pool = ProcessWorkerPool(
-            2,
-            initializer=_stages.init_stage_worker,
-            initargs=(receptor, cfg, manager),
-            name=f"ftmap-{handle.job_id}",
+        found = [
+            self._lookup_probe(receptor, probe, cfg, manager)
+            for _, probe in items
+        ]
+        misses = sum(1 for f in found if f.stage is None)
+        # Forked here, on the request's thread, before the stage threads
+        # exist; the workers build their own cache tier (never the forked
+        # copy of ``manager``).
+        pool = (
+            ProcessWorkerPool(
+                min(2, misses),
+                initializer=_stages.init_stage_worker,
+                initargs=(receptor, cfg, _stages.tier_config(manager)),
+                name=f"ftmap-{handle.job_id}",
+            )
+            if misses
+            else None
         )
         arena = ShmArena(prefix=f"repro-{handle.job_id}")
+        cache_attr = "miss" if manager.enabled else "off"
 
-        def record_spans(out: dict, fallback_parent) -> None:
-            for span_name, t0, t1, parent_id in out.get("spans", ()):
+        def run_task(fn, *args, label: str, span) -> dict:
+            assert pool is not None  # started because some probe missed
+            out = pool.submit(fn, *args, span.span_id, label=label).result()
+            for span_name, t0, t1, parent_id in out["spans"]:
                 tracer.add_span(
                     span_name, t0, t1,
-                    parent=parent_id or fallback_parent,
+                    parent=parent_id or span,
                     thread=f"{pool.name}-worker",
-                    probe=out.get("probe", ""),
+                    probe=out["probe"],
                 )
+            manager.absorb(out["cache"])
+            return out
 
         def stage_dock(task: Tuple[int, Tuple[str, Molecule]]):
             index, (name, probe) = task
@@ -601,80 +660,126 @@ class FTMapService:
             t_stage = time.perf_counter()
             with tracer.span("dock", parent=root, probe=name) as span:
                 handle._emit("dock", name, index, total, span_id=span.span_id)
-                segment = arena.reserve(f"d{index}")
-                out = pool.submit(
-                    _stages.dock_stage_task, name, probe, segment,
-                    span.span_id, label=f"dock:{name}",
-                ).result()
-                bundle = out["poses"]
-                arena.lease(bundle)
-                record_spans(out, span)
-                poses = _stages.unpack_poses(bundle)
-                run = _dc_replace(out["run_meta"], poses=poses)
-                span.set_attributes(backend=run.backend, poses=len(poses))
+                run, bundle = found[index].run, None
+                if run is not None:
+                    span.set_attributes(cache="hit", where="parent")
+                else:
+                    out = run_task(
+                        _stages.dock_stage_task, name, probe,
+                        arena.reserve(f"d{index}"),
+                        label=f"dock:{name}", span=span,
+                    )
+                    bundle = out["poses"]
+                    arena.lease(bundle)
+                    run = _dc_replace(
+                        out["run_meta"], poses=_stages.unpack_poses(bundle)
+                    )
+                    if found[index].dock_key:
+                        _ftmap.store_dock(manager, found[index].dock_key, run)
+                    span.set_attributes(cache=cache_attr, where="worker")
+                span.set_attributes(backend=run.backend, poses=len(run.poses))
             stage_seconds.observe(time.perf_counter() - t_stage, stage="dock")
             return index, name, probe, run, bundle
+
+        def refine_in_worker(index, name, probe, top, bundle, span):
+            if bundle is None:
+                # Docked from the cache: the top poses ship from here.
+                bundle = _stages.pack_poses(arena.reserve(f"d{index}"), top)
+                arena.lease(bundle)
+            out = run_task(
+                _stages.minimize_stage_task, name, probe, bundle,
+                arena.reserve(f"m{index}"),
+                label=f"minimize:{name}", span=span,
+            )
+            ensemble = out["ensemble"]
+            arena.lease(ensemble)
+            stage = _stages.rebuild_minimize_stage(
+                out["stage_meta"], arena.read(ensemble)
+            )
+            arena.release(ensemble)
+            arena.release(bundle)
+            return stage, out["clusters"]
 
         def stage_refine(task) -> ProbeResult:
             index, name, probe, run, bundle = task
             handle._check_cancelled()
             t_stage = time.perf_counter()
+            clusters: Optional[List[Cluster]] = None
             with tracer.span("minimize", parent=root, probe=name) as span:
                 handle._emit(
                     "minimize", name, index, total, span_id=span.span_id
                 )
-                segment = arena.reserve(f"m{index}")
-                out = pool.submit(
-                    _stages.minimize_stage_task, name, probe, bundle,
-                    segment, span.span_id, label=f"minimize:{name}",
-                ).result()
-                ensemble = out["ensemble"]
-                arena.lease(ensemble)
-                record_spans(out, span)
-                span.set_attributes(backend=out["backend"])
+                top = run.poses[: cfg.minimize_top]
+                stage, where = found[index].stage, "parent"
+                if stage is None and not top:
+                    stage = MinimizeStage.empty()
+                    arena.release(bundle)
+                if stage is None:
+                    stage, clusters = refine_in_worker(
+                        index, name, probe, top, bundle, span
+                    )
+                    where = "worker"
+                    key = found[index].minimize_key
+                    if manager.enabled and not key:
+                        # Docked in a worker, so only the worker resolved
+                        # the backend the key names: the lookup runs now,
+                        # before the store.  Stats then read as the
+                        # sequential path's (one miss, one put per cold
+                        # probe), and an ensemble an overlapping request
+                        # stored meanwhile is served from the cache.
+                        key = _ftmap.minimize_result_key(
+                            receptor, probe, top, cfg, stage.backend
+                        )
+                        hit = _ftmap.lookup_minimize(manager, key)
+                        if hit is not None:
+                            stage, clusters = hit, None
+                    if key and not stage.cached:
+                        _ftmap.store_minimize(manager, key, stage)
+                if top:
+                    span.set_attributes(
+                        cache="hit" if stage.cached else cache_attr
+                    )
+                span.set_attributes(where=where, backend=stage.backend)
             stage_seconds.observe(
                 time.perf_counter() - t_stage, stage="minimize"
             )
             t_stage = time.perf_counter()
             with tracer.span("cluster", parent=root, probe=name) as span:
-                # Clustered in the worker alongside minimize (one shm
-                # round trip); the event still marks the stage boundary.
+                # A worker clusters alongside minimize (one shm round
+                # trip); the event still marks the stage boundary.
                 handle._emit(
                     "cluster", name, index, total, span_id=span.span_id
                 )
-                arrays = arena.read(ensemble)
-                results = _stages.rebuild_minimize_results(
-                    out["results_lite"], arrays["coords"]
-                )
+                if clusters is None:
+                    clusters = _ftmap.cluster_probe(
+                        stage.centers, stage.energies, cfg
+                    )
             stage_seconds.observe(time.perf_counter() - t_stage, stage="cluster")
-            arena.release(ensemble)
-            arena.release(bundle)
-            return ProbeResult(
-                probe_name=name,
-                docked_poses=run.poses,
-                minimized=results,
-                minimized_centers=arrays["centers"],
-                minimized_energies=arrays["energies"],
-                clusters=out["clusters"],
-                docking_backend=run.backend,
-                minimize_backend=out["backend"],
-                minimize_devices=out["devices"],
-                minimize_shard_sizes=tuple(out["shard_sizes"]),
-                minimize_reduction_order=tuple(out["reduction_order"]),
-                minimize_cached=out["cached"],
-            )
+            return ProbeResult.from_stages(name, run, stage, clusters)
 
         try:
             executor = PipelineExecutor(
-                [stage_dock, stage_refine], mode="thread"
+                [in_scope(stage_dock), in_scope(stage_refine)], mode="thread"
             )
             results = executor.map(list(enumerate(items)))
         except BaseException:
             # Cancellation, a stage failure or a dead worker: stop the
             # pool hard and unlink every leased segment deterministically.
-            pool.close(cancel=True)
+            if pool is not None:
+                pool.close(cancel=True)
             arena.release_all()
             raise
-        pool.close()
+        if pool is not None:
+            pool.close()
         arena.release_all()
         return results
+
+
+@dataclass
+class _CachedProbe:
+    """One probe's artifacts found in the parent's cache (keys, if enabled)."""
+
+    dock_key: str = ""
+    run: Optional[DockingRun] = None
+    minimize_key: str = ""
+    stage: Optional[MinimizeStage] = None

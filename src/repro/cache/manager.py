@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.cache.store import CODECS, MISS, DiskStore, MemoryStore, estimate_nbytes
@@ -163,6 +163,10 @@ class CacheManager:
         # thread-local scope stacks route per-request deltas (stats_scope).
         self._lock = threading.RLock()
         self._tlocal = threading.local()
+        # Store totals already folded into the counters (see
+        # _store_counter_deltas).
+        self._synced_evictions = 0
+        self._synced_corrupt = 0
         # Single-flight state: key -> Event of the in-process flight
         # currently computing it.  Followers (here and, via the disk
         # tier's lockfiles, in other processes) wait instead of
@@ -205,16 +209,31 @@ class CacheManager:
         The stores keep running totals; attribution to the operation that
         triggered them happens here, under the lock, as increments — which
         is what lets request scopes see *their* evictions instead of a
-        snapshot of someone else's.
+        snapshot of someone else's.  The synced totals are tracked apart
+        from :attr:`stats`, which also holds counts :meth:`absorb` folded
+        in from other processes' tiers.
         """
         deltas = {}
-        if self.memory is not None:
-            deltas["evictions"] = self.memory.evictions - self.stats.evictions
-        if self.disk is not None:
-            deltas["corrupt_entries"] = (
-                self.disk.corrupt_entries - self.stats.corrupt_entries
-            )
+        with self._lock:
+            if self.memory is not None:
+                evictions = self.memory.evictions
+                deltas["evictions"] = evictions - self._synced_evictions
+                self._synced_evictions = evictions
+            if self.disk is not None:
+                corrupt = self.disk.corrupt_entries
+                deltas["corrupt_entries"] = corrupt - self._synced_corrupt
+                self._synced_corrupt = corrupt
         return deltas
+
+    def absorb(self, delta: CacheStats) -> None:
+        """Fold counts recorded by another manager into this one.
+
+        Process-streamed stage workers compute with a cache tier of their
+        own and return its :class:`CacheStats` delta; the parent folds it
+        in here — into the totals and every scope attached to the calling
+        thread, exactly as if the lookups had run on this manager.
+        """
+        self._record(**asdict(delta))
 
     def get(self, key: str):
         """Cached value for ``key`` or ``None`` (values must not be None)."""
@@ -412,7 +431,9 @@ class CacheManager:
         object explicitly: ``stats_scope(scope)`` attaches an existing
         scope to the current thread, so one request's scope can follow its
         work across its pipeline workers.  Scopes never cross process
-        boundaries — forked probe workers keep their own managers.
+        boundaries: stage worker processes count in a tier of their own
+        and return its delta, which the parent folds in with
+        :meth:`absorb`.
         """
         s = scope if scope is not None else CacheStats()
         with self._lock:
@@ -432,6 +453,20 @@ class CacheManager:
                     if stack[i] is s:
                         del stack[i]
                         break
+
+    def _reset_locks(self) -> None:
+        """Fresh locks for a forked child.
+
+        A thread of the parent may have held any of them at fork time,
+        and the child inherits them held, with no thread left to release
+        them.  In-flight single-flight gates belong to those threads too.
+        """
+        self._lock = threading.RLock()
+        self._sf_mutex = threading.Lock()
+        with self._sf_mutex:
+            self._sf_inflight = {}
+        if self.memory is not None:
+            self.memory.reset_lock()
 
     def snapshot(self) -> CacheStats:
         """Copy of the current counters (subtract two to get a delta)."""
@@ -454,8 +489,8 @@ class CacheManager:
             f"hits={self.stats.hits}, misses={self.stats.misses})"
         )
 
-    # Managers ride along when configs/engines cross process boundaries
-    # (probe streaming forks, sweep workers).  Only the configuration
+    # Managers ride along when configs/engines are pickled across process
+    # boundaries (sweep workers, spawned processes).  Only the configuration
     # travels: workers rebuild empty tiers (and re-share through the disk
     # tier's directory when one is configured).
     def __getstate__(self):
@@ -533,6 +568,16 @@ def spectra_cache() -> CacheManager:
             memory_bytes=int(env_budget) if env_budget else DEFAULT_SPECTRA_BUDGET,
         )
     return _SPECTRA_MANAGER
+
+
+def _reset_locks_in_child() -> None:
+    for manager in [_SPECTRA_MANAGER, *_REGISTRY.values()]:
+        if manager is not None:
+            manager._reset_locks()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_locks_in_child)
 
 
 def reset_cache_registry() -> None:

@@ -191,6 +191,10 @@ class MemoryStore:
         with self._lock:
             return list(self._entries)
 
+    def reset_lock(self) -> None:
+        """Replace the lock in a forked child (it may have forked held)."""
+        self._lock = threading.RLock()
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

@@ -59,6 +59,15 @@ __all__ = [
     "minimize_poses",
     "cluster_probe",
     "map_probe",
+    "dock_result_key",
+    "lookup_dock",
+    "compute_dock",
+    "store_dock",
+    "minimize_result_key",
+    "minimization_engine",
+    "lookup_minimize",
+    "compute_minimize",
+    "store_minimize",
 ]
 
 
@@ -264,6 +273,30 @@ class ProbeResult:
     minimize_reduction_order: Tuple[int, ...] = ()
     minimize_cached: bool = False
 
+    @classmethod
+    def from_stages(
+        cls,
+        name: str,
+        docking: DockingRun,
+        stage: "MinimizeStage",
+        clusters: List[Cluster],
+    ) -> "ProbeResult":
+        """Assemble a probe's outcome from its three stages' outputs."""
+        return cls(
+            probe_name=name,
+            docked_poses=docking.poses,
+            minimized=stage.results,
+            minimized_centers=stage.centers,
+            minimized_energies=stage.energies,
+            clusters=clusters,
+            docking_backend=docking.backend,
+            minimize_backend=stage.backend,
+            minimize_devices=stage.devices,
+            minimize_shard_sizes=stage.shard_sizes,
+            minimize_reduction_order=stage.reduction_order,
+            minimize_cached=stage.cached,
+        )
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready summary of this probe's outcome.
 
@@ -304,9 +337,8 @@ class FTMapResult:
     probe_results: Dict[str, ProbeResult]
     sites: List[ConsensusSite]
     #: Artifact-cache counter delta of this run (None with caching off).
-    #: Under process streaming only the parent process's lookups are
-    #: counted — stage workers keep their own managers (and share
-    #: artifacts through a configured disk tier).
+    #: Under process streaming it also folds in the intermediate lookups
+    #: (receptor grids, spectra) stage workers made in their own tiers.
     cache_stats: Optional[CacheStats] = None
 
     @property
@@ -331,7 +363,7 @@ class FTMapResult:
 # -- pipeline stages ----------------------------------------------------------------
 
 
-def _dock_result_key(
+def dock_result_key(
     receptor: Molecule, probe: Molecule, config: FTMapConfig
 ) -> str:
     """Cache key of one probe's full dock result.
@@ -366,6 +398,47 @@ def _dock_result_key(
     )
 
 
+def lookup_dock(manager: CacheManager, key: str) -> Optional[DockingRun]:
+    """Lookup step of the dock stage: the cached run under ``key``, or None.
+
+    The pose list is shallow-copied on hits so callers may reorder it
+    freely without poisoning the cache.
+    """
+    hit = manager.get(key)
+    return None if hit is None else replace(hit, poses=list(hit.poses))
+
+
+def compute_dock(
+    receptor: Molecule,
+    probe: Molecule,
+    config: FTMapConfig,
+    cache: Optional[CacheManager] = None,
+) -> DockingRun:
+    """Compute step of the dock stage: run the docking engine.
+
+    ``cache`` only serves the intermediates (receptor grids and spectra);
+    the whole-run artifact is the lookup/store steps' business.  Stage
+    workers call this step alone, with a cache tier of their own.
+    """
+    engine = DockingEngine(
+        receptor,
+        probe,
+        config._docking_workload(),
+        backend=config.engine,
+        workers=config.docking_workers,
+        cache=cache if cache is not None and cache.enabled else None,
+    )
+    current_span().set_attributes(
+        backend=engine.backend, rotations=config.num_rotations
+    )
+    return engine.run_detailed()
+
+
+def store_dock(manager: CacheManager, key: str, run: DockingRun) -> None:
+    """Store step of the dock stage (a private copy of the pose list)."""
+    manager.put(key, replace(run, poses=list(run.poses)), codec="pickle")
+
+
 def dock_probe(
     receptor: Molecule,
     probe: Molecule,
@@ -377,33 +450,25 @@ def dock_probe(
     With an enabled cache (``cache`` argument, else
     ``config.cache_manager()``), the whole :class:`DockingRun` is served
     content-addressed: a repeat mapping of the same receptor/probe/workload
-    skips gridding, spectra and the rotation loop entirely.  Pose lists are
-    shallow-copied on hits so callers may reorder them freely.
+    skips gridding, spectra and the rotation loop entirely.  Runs the
+    :func:`lookup_dock` -> :func:`compute_dock` -> :func:`store_dock`
+    steps in one place; process streaming splits them between the parent
+    (lookup, store) and a stage worker (compute).
     """
     span = current_span()
     manager = cache if cache is not None else config.cache_manager()
-    if manager.enabled:
-        key = _dock_result_key(receptor, probe, config)
-        hit = manager.get(key)
+    key = dock_result_key(receptor, probe, config) if manager.enabled else ""
+    if key:
+        hit = lookup_dock(manager, key)
         if hit is not None:
             span.set_attributes(cache="hit", backend=hit.backend)
-            return replace(hit, poses=list(hit.poses))
-    engine = DockingEngine(
-        receptor,
-        probe,
-        config._docking_workload(),
-        backend=config.engine,
-        workers=config.docking_workers,
-        cache=manager if manager.enabled else None,
-    )
-    span.set_attributes(
-        cache="miss" if manager.enabled else "off",
-        backend=engine.backend,
-        rotations=config.num_rotations,
-    )
-    run = engine.run_detailed()
-    if manager.enabled:
-        manager.put(key, replace(run, poses=list(run.poses)), codec="pickle")
+            return hit
+    span.set_attributes(cache="miss" if key else "off")
+    # Resolved through the module at call time: the seam tests patch to
+    # substitute the computation in every streaming mode.
+    run = compute_dock(receptor, probe, config, cache=manager)
+    if key:
+        store_dock(manager, key, run)
     return run
 
 
@@ -435,6 +500,11 @@ class MinimizeStage:
     def __iter__(self):
         return iter((self.results, self.centers, self.energies, self.backend))
 
+    @classmethod
+    def empty(cls) -> "MinimizeStage":
+        """The stage of a probe whose docking produced no poses."""
+        return cls([], np.empty((0, 3)), np.empty((0,)), "")
+
 
 #: Numerics families of the minimization backends: every backend in a
 #: family produces bitwise-identical per-pose results (serial ==
@@ -450,7 +520,7 @@ _MINIMIZE_NUMERICS_FAMILY = {
 }
 
 
-def _minimize_result_key(
+def minimize_result_key(
     receptor: Molecule,
     probe: Molecule,
     top: Sequence[DockedPose],
@@ -494,45 +564,21 @@ def _minimize_result_key(
     )
 
 
-def minimize_poses(
+def minimization_engine(
     receptor: Molecule,
     probe: Molecule,
-    poses: Sequence[DockedPose],
+    top: Sequence[DockedPose],
     config: FTMapConfig,
-    cache: Optional[CacheManager] = None,
-    cancel_check: Optional[Callable[[], None]] = None,
-    on_shard: Optional[Callable[[int, int], None]] = None,
-) -> MinimizeStage:
-    """Stage 2: refine the top docked poses as one batched ensemble.
+) -> MinimizationEngine:
+    """Prepare step of the minimize stage: the engine over the top poses.
 
-    Builds the receptor+probe complex template once, stacks the top
-    ``minimize_top`` pose conformations into a ``(P, N, 3)`` ensemble with
-    per-pose pocket masks, and hands the whole stack to the
-    :class:`MinimizationEngine` (backend per ``config.minimize_engine``,
-    sharded over ``config.minimize_devices`` virtual devices when set).
-
-    With an enabled cache (``cache`` argument, else
-    ``config.cache_manager()``), the whole minimized ensemble is served
-    content-addressed — keyed by the dock-result content x minimizer
-    config x the *resolved* backend's numerics family, shard-invariantly
-    — so a warm repeat mapping skips the minimization itself entirely
-    (the engine is still constructed, because ``"auto"`` only resolves
-    against the real workload; that costs one pose-0 neighbor list, not
-    P poses x iterations of refinement).
-
-    ``cancel_check`` / ``on_shard`` reach the multi-device backend's
-    shard boundaries (cooperative cancellation, per-shard progress).
-
-    Returns a :class:`MinimizeStage` (unpacks as the legacy
-    ``(results, centers, energies, backend)`` tuple); a probe whose
-    docking produced no poses yields the explicit empty ensemble rather
-    than tripping over empty array construction downstream.
+    Builds the receptor+probe complex template once, stacks the ``top``
+    pose conformations into a ``(P, N, 3)`` ensemble with per-pose pocket
+    masks, and resolves the backend per ``config.minimize_engine`` (sharded
+    over ``config.minimize_devices`` virtual devices when set) — which the
+    minimize-results key names, so the lookup step needs this too.
     """
-    top = list(poses[: config.minimize_top])
     n_probe = probe.n_atoms
-    if not top:
-        return MinimizeStage([], np.empty((0, 3)), np.empty((0,)), "")
-
     placed0 = probe.with_coords(top[0].transform.apply(centered(probe.coords)))
     template = receptor.merged_with(placed0)
     n_total = template.n_atoms
@@ -550,7 +596,7 @@ def minimize_poses(
             for k in range(len(top))
         ]
     )
-    engine = MinimizationEngine(
+    return MinimizationEngine(
         template,
         stack,
         movable=movable,
@@ -560,31 +606,37 @@ def minimize_poses(
         devices=config.minimize_devices,
     )
 
-    span = current_span()
-    manager = cache if cache is not None else config.cache_manager()
-    key = ""
-    if manager.enabled:
-        key = _minimize_result_key(receptor, probe, top, config, engine.backend)
-        hit = manager.get(key)
-        if hit is not None:
-            span.set_attributes(cache="hit", backend=hit["backend"])
-            return MinimizeStage(
-                results=list(hit["results"]),
-                centers=hit["centers"].copy(),
-                energies=hit["energies"].copy(),
-                backend=hit["backend"],
-                devices=hit["devices"],
-                cached=True,
-            )
 
-    span.set_attributes(
-        cache="miss" if manager.enabled else "off",
-        backend=engine.backend,
-        poses=len(top),
+def lookup_minimize(manager: CacheManager, key: str) -> Optional[MinimizeStage]:
+    """Lookup step of the minimize stage: the cached ensemble, or None."""
+    hit = manager.get(key)
+    if hit is None:
+        return None
+    return MinimizeStage(
+        results=list(hit["results"]),
+        centers=hit["centers"].copy(),
+        energies=hit["energies"].copy(),
+        backend=hit["backend"],
+        devices=hit["devices"],
+        cached=True,
     )
+
+
+def compute_minimize(
+    engine: MinimizationEngine,
+    n_probe: int,
+    cancel_check: Optional[Callable[[], None]] = None,
+    on_shard: Optional[Callable[[int, int], None]] = None,
+) -> MinimizeStage:
+    """Compute step of the minimize stage: refine the engine's ensemble.
+
+    ``n_probe`` is the probe's atom count (the trailing atoms of every
+    conformation), from which the refined probe centers are taken.
+    """
     run = engine.run_detailed(cancel_check=cancel_check, on_shard=on_shard)
     tracer = current_tracer()
     if tracer.enabled:
+        span = current_span()
         span.set_attributes(devices=run.num_devices)
         # Per-shard spans from the wall clocks the multi-device engine
         # measured on its worker threads: recorded post hoc so the trace
@@ -602,7 +654,7 @@ def minimize_poses(
                 )
     centers = np.stack([r.coords[-n_probe:].mean(axis=0) for r in run.results])
     energies = np.array([r.energy for r in run.results], dtype=float)
-    stage = MinimizeStage(
+    return MinimizeStage(
         results=run.results,
         centers=centers,
         energies=energies,
@@ -612,18 +664,81 @@ def minimize_poses(
         reduction_order=run.reduction_order,
         predicted_makespan_s=run.predicted_device_time_s,
     )
-    if manager.enabled:
-        manager.put(
-            key,
-            {
-                "results": list(run.results),
-                "centers": centers.copy(),
-                "energies": energies.copy(),
-                "backend": run.backend,
-                "devices": run.num_devices,
-            },
-            codec="pickle",
-        )
+
+
+def store_minimize(manager: CacheManager, key: str, stage: MinimizeStage) -> None:
+    """Store step of the minimize stage (shard provenance is not kept)."""
+    manager.put(
+        key,
+        {
+            "results": list(stage.results),
+            "centers": stage.centers.copy(),
+            "energies": stage.energies.copy(),
+            "backend": stage.backend,
+            "devices": stage.devices,
+        },
+        codec="pickle",
+    )
+
+
+def minimize_poses(
+    receptor: Molecule,
+    probe: Molecule,
+    poses: Sequence[DockedPose],
+    config: FTMapConfig,
+    cache: Optional[CacheManager] = None,
+    cancel_check: Optional[Callable[[], None]] = None,
+    on_shard: Optional[Callable[[int, int], None]] = None,
+) -> MinimizeStage:
+    """Stage 2: refine the top docked poses as one batched ensemble.
+
+    Hands the top ``minimize_top`` pose conformations to the
+    :class:`MinimizationEngine` as one stack (see
+    :func:`minimization_engine`).
+
+    With an enabled cache (``cache`` argument, else
+    ``config.cache_manager()``), the whole minimized ensemble is served
+    content-addressed — keyed by the dock-result content x minimizer
+    config x the *resolved* backend's numerics family, shard-invariantly
+    — so a warm repeat mapping skips the minimization itself entirely
+    (the engine is still constructed, because ``"auto"`` only resolves
+    against the real workload; that costs one pose-0 neighbor list, not
+    P poses x iterations of refinement).  Runs the :func:`lookup_minimize`
+    -> :func:`compute_minimize` -> :func:`store_minimize` steps in one
+    place; process streaming splits them between the parent and a worker.
+
+    ``cancel_check`` / ``on_shard`` reach the multi-device backend's
+    shard boundaries (cooperative cancellation, per-shard progress).
+
+    Returns a :class:`MinimizeStage` (unpacks as the legacy
+    ``(results, centers, energies, backend)`` tuple); a probe whose
+    docking produced no poses yields the explicit empty ensemble rather
+    than tripping over empty array construction downstream.
+    """
+    top = list(poses[: config.minimize_top])
+    if not top:
+        return MinimizeStage.empty()
+    engine = minimization_engine(receptor, probe, top, config)
+    span = current_span()
+    manager = cache if cache is not None else config.cache_manager()
+    key = (
+        minimize_result_key(receptor, probe, top, config, engine.backend)
+        if manager.enabled
+        else ""
+    )
+    if key:
+        hit = lookup_minimize(manager, key)
+        if hit is not None:
+            span.set_attributes(cache="hit", backend=hit.backend)
+            return hit
+    span.set_attributes(
+        cache="miss" if key else "off",
+        backend=engine.backend,
+        poses=len(top),
+    )
+    stage = compute_minimize(engine, probe.n_atoms, cancel_check, on_shard)
+    if key:
+        store_minimize(manager, key, stage)
     return stage
 
 
@@ -647,20 +762,7 @@ def map_probe(
     docking = dock_probe(receptor, probe, config, cache=cache)
     stage = minimize_poses(receptor, probe, docking.poses, config, cache=cache)
     clusters = cluster_probe(stage.centers, stage.energies, config)
-    return ProbeResult(
-        probe_name=name,
-        docked_poses=docking.poses,
-        minimized=stage.results,
-        minimized_centers=stage.centers,
-        minimized_energies=stage.energies,
-        clusters=clusters,
-        docking_backend=docking.backend,
-        minimize_backend=stage.backend,
-        minimize_devices=stage.devices,
-        minimize_shard_sizes=stage.shard_sizes,
-        minimize_reduction_order=stage.reduction_order,
-        minimize_cached=stage.cached,
-    )
+    return ProbeResult.from_stages(name, docking, stage, clusters)
 
 
 def run_ftmap(

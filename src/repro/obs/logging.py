@@ -17,6 +17,7 @@ Two audiences, one module:
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
@@ -82,6 +83,16 @@ def configure_logging(stream: Optional[TextIO] = None,
     _logger = StructuredLogger(stream=stream, enabled=enabled) if enabled \
         else _NullStructuredLogger()
     return _logger
+
+
+def _reset_lock_in_child() -> None:
+    # Another parent thread may have been mid-log at fork time; the
+    # child's copy of its lock would then never be released.
+    _logger._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 def log_event(event: str, **fields) -> None:

@@ -32,6 +32,7 @@ the registry's instrument tables).
 from __future__ import annotations
 
 import math
+import os
 import random
 import threading
 import zlib
@@ -385,6 +386,24 @@ def render_prometheus(reg: MetricsRegistry) -> str:
 
 
 _REGISTRY = MetricsRegistry(enabled=True)
+
+
+def _reset_locks_in_child() -> None:
+    """Fresh registry, instrument and series locks in a forked child.
+
+    Any of them may have been held by another parent thread at fork time;
+    the child would inherit it held, and its first metric update — a
+    stage worker's, say — would block forever.
+    """
+    _REGISTRY._lock = threading.Lock()
+    for inst in list(_REGISTRY._instruments.values()):
+        inst._lock = threading.Lock()
+        for cell in list(inst._series.values()):
+            cell.lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_locks_in_child)
 
 
 def registry() -> MetricsRegistry:

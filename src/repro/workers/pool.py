@@ -18,6 +18,10 @@ Design points:
 * **fork-without-locks discipline** — worker processes are always
   started outside the pool lock (a lock held across a fork is cloned
   *locked* into the child; rule REPRO-FORK enforces this repo-wide).
+  Locks other threads may hold at that moment — the metrics registry,
+  the structured logger, shared-memory and pool accounting, the
+  module-level cache managers — are re-created in the child by
+  ``os.register_at_fork`` hooks in their modules.
 * **daemonic workers** — nested process fan-out inside a stage (e.g. a
   ``multiprocess`` minimize backend) degrades to its serial fallback
   instead of forking grandchildren, mirroring the legacy fork path.
@@ -49,6 +53,17 @@ _POOLS: "weakref.WeakSet[ProcessWorkerPool]" = weakref.WeakSet()
 _STATS_LOCK = threading.Lock()
 _TASKS_TOTAL = 0
 _RESTARTS_TOTAL = 0
+
+
+def _reset_lock_in_child() -> None:
+    # Held by a parent thread counting a task at fork time, the copy in
+    # a forked worker would never be released.
+    global _STATS_LOCK
+    _STATS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_in_child)
 
 
 def _update_gauges() -> None:

@@ -68,6 +68,29 @@ _BYTES_LOCK = threading.Lock()
 _BYTES_IN_USE = 0
 
 
+def _reset_locks_in_child() -> None:
+    """Fresh locks for a forked stage worker.
+
+    Parent threads attach and unlink segments while another request's
+    pool forks, so the accounting lock — and the resource tracker's,
+    which every ``SharedMemory`` attach or :func:`_untrack` takes — may
+    be inherited held; the worker's first :func:`pack_arrays` would then
+    block forever.
+    """
+    global _BYTES_LOCK
+    _BYTES_LOCK = threading.Lock()
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker._resource_tracker._lock = threading.RLock()
+    except AttributeError:  # pragma: no cover - tracker internals moved
+        pass
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_locks_in_child)
+
+
 def _gauge():
     return registry().gauge(
         "repro_shm_bytes_in_use",

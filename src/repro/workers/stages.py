@@ -1,27 +1,42 @@
 """Worker-process bodies of the dock and minimize pipeline stages.
 
-These run inside :class:`~repro.workers.pool.ProcessWorkerPool` workers
-and call the *same* stage functions the sequential and thread-pipelined
-paths call (:func:`repro.mapping.ftmap.dock_probe` /
-:func:`minimize_poses` / :func:`cluster_probe`), at the same fp64
-numerics — which is what makes ``streaming="process"`` bitwise-identical
-to ``"sequential"``.  Only the transport differs:
+The sequential path runs each stage's three steps in one place —
+lookup, compute, store (:func:`repro.mapping.ftmap.dock_probe`,
+:func:`~repro.mapping.ftmap.minimize_poses`).  Process streaming splits
+them across the process boundary: the request's parent
+:class:`~repro.cache.manager.CacheManager` is the only owner of the
+whole-stage artifacts (``dock-results``, ``minimize-results``) — it
+looks them up before dispatch and stores what workers return — and the
+task bodies here run only the *compute* steps
+(:func:`~repro.mapping.ftmap.compute_dock`,
+:func:`~repro.mapping.ftmap.compute_minimize`,
+:func:`~repro.mapping.ftmap.cluster_probe`) at the same fp64 numerics,
+which is what makes ``streaming="process"`` bitwise-identical to
+``"sequential"``.
+
+Each worker keeps a cache tier of its own for the intermediates those
+steps reuse (receptor grids, spectra).  :func:`init_stage_worker` builds
+it in the child from the parent's policy, budget and directory — never
+from the parent's manager object, whose forked copy carries locks and a
+single-flight table that another request thread may have held at fork
+time.  A disk policy shares the directory, and its single-flight
+lockfiles, with the parent and other workers.  Every task returns its
+tier's :class:`~repro.cache.manager.CacheStats` delta, which the parent
+folds into the request's scope (:meth:`CacheManager.absorb`).
+
+Transport:
 
 * pose ensembles and minimized conformation stacks ship through named
   shared-memory segments (:mod:`repro.workers.shm`) whose names the
-  parent reserved up front; workers read them as zero-copy views,
-* everything small (backends, cluster summaries, per-pose scalars,
-  measured span times) rides the task pipe as regular pickles,
+  parent reserved up front,
+* everything small (run and stage provenance, cluster summaries,
+  per-pose scalars, cache deltas, measured span times) rides the task
+  pipe as regular pickles,
 * span context crosses the process boundary serialized: the parent
   passes its stage span id, the worker measures ``perf_counter`` start/
   end (``CLOCK_MONOTONIC`` — one clock for every process on the host)
   and the parent stitches the execution span back into the request
   trace post hoc via :meth:`repro.obs.trace.Tracer.add_span`.
-
-The per-request context (receptor, config, cache manager) installs once
-per worker via :func:`init_stage_worker`; the manager pickles as
-configuration-only, so workers start with empty memory tiers but share
-a configured disk tier — including its single-flight lockfiles.
 """
 
 from __future__ import annotations
@@ -32,28 +47,47 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.manager import CacheManager
 from repro.docking.piper import DockedPose
 from repro.geometry.transforms import RigidTransform
 from repro.mapping import ftmap as _ftmap
 from repro.workers.shm import ArrayBundle, map_arrays, pack_arrays
 
 __all__ = [
+    "tier_config",
     "init_stage_worker",
     "dock_stage_task",
     "minimize_stage_task",
     "pack_poses",
     "unpack_poses",
+    "rebuild_minimize_stage",
 ]
 
-#: (receptor, config, cache manager) — installed once per worker.
+#: (receptor, config, the worker's own cache tier) — installed once per
+#: worker.
 _STAGE_CTX = None
 
 _EMPTY_COORDS = np.empty((0, 3))
 
 
-def init_stage_worker(receptor, config, cache=None) -> None:
+def tier_config(manager: CacheManager) -> Tuple[str, int, Optional[str]]:
+    """What a worker needs to build its own tier like ``manager``."""
+    return manager.policy, manager.memory_bytes, manager.directory
+
+
+def init_stage_worker(
+    receptor, config, tier: Tuple[str, int, Optional[str]]
+) -> None:
+    """Install the per-request context; ``tier`` is :func:`tier_config`."""
     global _STAGE_CTX
-    _STAGE_CTX = (receptor, config, cache)
+    policy, memory_bytes, directory = tier
+    _STAGE_CTX = (
+        receptor,
+        config,
+        CacheManager(
+            policy=policy, memory_bytes=memory_bytes, directory=directory
+        ),
+    )
 
 
 # -- pose ensemble packing ----------------------------------------------------------
@@ -110,9 +144,7 @@ def pack_poses(segment: str, poses: Sequence[DockedPose]) -> ArrayBundle:
     return pack_arrays(segment, pose_arrays(poses))
 
 
-def unpack_poses(bundle: Optional[ArrayBundle]) -> List[DockedPose]:
-    if bundle is None:
-        return []
+def unpack_poses(bundle: ArrayBundle) -> List[DockedPose]:
     arrays, seg = map_arrays(bundle)
     try:
         return poses_from_arrays(arrays)
@@ -128,17 +160,18 @@ def dock_stage_task(
     name: str, probe, out_segment: str, parent_span_id: str = ""
 ) -> dict:
     """Dock one probe; poses ship back through ``out_segment``."""
-    receptor, cfg, manager = _STAGE_CTX
-    t0 = time.perf_counter()
-    run = _ftmap.dock_probe(receptor, probe, cfg, cache=manager)
-    t1 = time.perf_counter()
+    receptor, cfg, tier = _STAGE_CTX
+    with tier.stats_scope() as delta:
+        t0 = time.perf_counter()
+        run = _ftmap.compute_dock(receptor, probe, cfg, cache=tier)
+        t1 = time.perf_counter()
     bundle = pack_poses(out_segment, run.poses)
     return {
         "probe": name,
         "poses": bundle,
-        "n_poses": len(run.poses),
         # The run's provenance without its bulk payload.
         "run_meta": replace(run, poses=[]),
+        "cache": delta,
         "spans": [("dock-exec", t0, t1, parent_span_id)],
     }
 
@@ -146,59 +179,47 @@ def dock_stage_task(
 def minimize_stage_task(
     name: str,
     probe,
-    poses_bundle: Optional[ArrayBundle],
+    poses_bundle: ArrayBundle,
     out_segment: str,
     parent_span_id: str = "",
 ) -> dict:
-    """Minimize + cluster one probe's docked ensemble.
+    """Minimize + cluster one probe's top docked poses.
 
-    Reads the pose ensemble as zero-copy views over the dock stage's
-    segment, refines, and ships the minimized coordinate stack, centers
-    and energies back through ``out_segment``.
+    Reads the (non-empty) pose ensemble from ``poses_bundle``, refines
+    the top ``minimize_top`` poses, and ships the minimized coordinate
+    stack, centers and energies back through ``out_segment``.
     """
-    receptor, cfg, manager = _STAGE_CTX
-    arrays, seg = (
-        map_arrays(poses_bundle)
-        if poses_bundle is not None and poses_bundle.segment
-        else ({}, None)
-    )
-    try:
-        poses = (
-            poses_from_arrays(arrays) if arrays else unpack_poses(poses_bundle)
-        )
+    receptor, cfg, tier = _STAGE_CTX
+    top = unpack_poses(poses_bundle)[: cfg.minimize_top]
+    with tier.stats_scope() as delta:
         t0 = time.perf_counter()
-        stage = _ftmap.minimize_poses(receptor, probe, poses, cfg, cache=manager)
+        engine = _ftmap.minimization_engine(receptor, probe, top, cfg)
+        stage = _ftmap.compute_minimize(engine, probe.n_atoms)
         t1 = time.perf_counter()
         clusters = _ftmap.cluster_probe(stage.centers, stage.energies, cfg)
         t2 = time.perf_counter()
-    finally:
-        if seg is not None:
-            seg.close()
-    coords = (
-        np.stack([r.coords for r in stage.results])
-        if stage.results else np.empty((0, 0, 3))
-    )
     bundle = pack_arrays(
         out_segment,
         {
-            "coords": coords,
-            "centers": np.asarray(stage.centers, dtype=np.float64),
-            "energies": np.asarray(stage.energies, dtype=np.float64),
+            "coords": np.stack([r.coords for r in stage.results]),
+            "centers": stage.centers,
+            "energies": stage.energies,
         },
     )
-    # Results travel coords-less over the pipe; the parent re-attaches
+    # The stage travels array-less over the pipe; the parent re-attaches
     # the stacks from shared memory.
-    results_lite = [replace(r, coords=_EMPTY_COORDS) for r in stage.results]
+    stage_meta = replace(
+        stage,
+        results=[replace(r, coords=_EMPTY_COORDS) for r in stage.results],
+        centers=_EMPTY_COORDS,
+        energies=np.empty((0,)),
+    )
     return {
         "probe": name,
         "ensemble": bundle,
-        "results_lite": results_lite,
+        "stage_meta": stage_meta,
         "clusters": clusters,
-        "backend": stage.backend,
-        "devices": stage.devices,
-        "shard_sizes": tuple(stage.shard_sizes),
-        "reduction_order": tuple(stage.reduction_order),
-        "cached": stage.cached,
+        "cache": delta,
         "spans": [
             ("minimize-exec", t0, t1, parent_span_id),
             ("cluster-exec", t1, t2, parent_span_id),
@@ -206,9 +227,17 @@ def minimize_stage_task(
     }
 
 
-def rebuild_minimize_results(results_lite, coords: np.ndarray):
-    """Re-attach shared-memory coordinate stacks to the shipped results."""
-    return [
-        replace(lite, coords=np.array(coords[k]))
-        for k, lite in enumerate(results_lite)
-    ]
+def rebuild_minimize_stage(
+    stage_meta: "_ftmap.MinimizeStage", arrays: Dict[str, np.ndarray]
+) -> "_ftmap.MinimizeStage":
+    """Re-attach the shared-memory arrays to a shipped stage."""
+    coords = arrays["coords"]
+    return replace(
+        stage_meta,
+        results=[
+            replace(lite, coords=np.array(coords[k]))
+            for k, lite in enumerate(stage_meta.results)
+        ],
+        centers=arrays["centers"],
+        energies=arrays["energies"],
+    )

@@ -1,5 +1,6 @@
 """FTMapService lifecycle: jobs, streaming modes, cache-aware serving."""
 
+import contextlib
 import threading
 import warnings
 
@@ -15,9 +16,10 @@ from repro.api import (
 )
 from repro.cache import CacheManager, reset_cache_registry
 from repro.mapping.ftmap import FTMapConfig, run_ftmap
+from repro.obs.metrics import registry
 from repro.structure import synthetic_protein
 from repro.util.parallel import usable_cpus
-from repro.workers import shm_bytes_in_use
+from repro.workers import shm_bytes_in_use, worker_stats
 
 
 @pytest.fixture(autouse=True)
@@ -149,12 +151,10 @@ class TestSynchronousMap:
         assert stages[-1] == ("consensus", "")
 
     def test_process_mode_worker_spans_stitched_into_trace(self, protein):
-        with FTMapService() as service:
-            mapped = service.map(
-                protein,
-                tiny_config(tracing=True),
-                streaming="process",
-            )
+        cfg = tiny_config(tracing=True)
+        with FTMapService(cache=CacheManager(policy="memory")) as service:
+            mapped = service.map(protein, cfg, streaming="process")
+            warm = service.map(protein, cfg, streaming="process")
         names = [s["name"] for s in mapped.trace["spans"]]
         for exec_span in ("dock-exec", "minimize-exec", "cluster-exec"):
             assert names.count(exec_span) == 2  # one per probe
@@ -163,6 +163,23 @@ class TestSynchronousMap:
             if span["name"] == "dock-exec":
                 parent = by_id[span["parent_id"]]
                 assert parent["name"] == "dock"
+        # Stage spans say which probes went to workers, and whether the
+        # parent's cache served them.
+        for trace, cache, where in (
+            (mapped.trace, "miss", "worker"),
+            (warm.trace, "hit", "parent"),
+        ):
+            stages = [
+                s for s in trace["spans"] if s["name"] in ("dock", "minimize")
+            ]
+            assert len(stages) == 4
+            for span in stages:
+                assert span["attributes"]["cache"] == cache
+                assert span["attributes"]["where"] == where
+        # A fully warm request never reaches a worker.
+        assert not [
+            s for s in warm.trace["spans"] if s["name"].endswith("-exec")
+        ]
 
     def test_result_provenance(self, protein):
         cfg = tiny_config()
@@ -326,14 +343,50 @@ class TestJobs:
             first.result(timeout=300)
 
 
+#: Every probe scheduling branch, run explicitly whatever the CPU count
+#: (``auto`` picks ``process`` or ``pipeline`` from it).
+STREAMING_MODES = ("sequential", "pipeline", "process")
+
+#: Whole-stage artifact kinds: the parent's cache owns them in every mode.
+STAGE_KINDS = ("dock-results", "minimize-results")
+
+
+def stage_kind_counts():
+    """Parent-side lookup and put counts of the whole-stage artifacts."""
+    reg = registry()
+    lookups = reg.counter(
+        "repro_cache_lookups_total", ("kind", "outcome"),
+        help="Cache lookups by artifact kind (key namespace) and outcome.",
+    )
+    puts = reg.counter(
+        "repro_cache_puts_total", ("kind",),
+        help="Cache stores by artifact kind (key namespace).",
+    )
+    counts = {}
+    for kind in STAGE_KINDS:
+        for outcome in ("hit", "miss"):
+            counts[kind, outcome] = lookups.value(kind=kind, outcome=outcome)
+        counts[kind, "put"] = puts.value(kind=kind)
+    return counts
+
+
+def counts_delta(after, before):
+    return {key: after[key] - before[key] for key in after}
+
+
 class TestCacheAwareServing:
-    def test_concurrent_requests_share_receptor_artifacts(self, protein):
+    @pytest.mark.parametrize("streaming", STREAMING_MODES)
+    def test_concurrent_requests_share_receptor_artifacts(
+        self, protein, streaming
+    ):
         """Two in-flight requests against one receptor: the second is
         served from the first one's artifacts (grids, spectra, whole dock
         results) — the mapped-or-cached serving story."""
         cfg = tiny_config()
         manager = CacheManager(policy="memory")
-        with FTMapService(cache=manager, max_workers=1) as service:
+        with FTMapService(
+            cache=manager, max_workers=1, streaming=streaming
+        ) as service:
             fingerprint = service.register_receptor(protein)
             first = service.submit(
                 MapRequest(receptor=fingerprint, config=cfg)
@@ -350,12 +403,17 @@ class TestCacheAwareServing:
         assert result_2.cache_stats.hit_rate == 1.0
         assert_bitwise_equal(result_1.result, result_2.result)
 
-    def test_overlapping_requests_attribute_stats_independently(self, protein):
+    @pytest.mark.parametrize("streaming", STREAMING_MODES)
+    def test_overlapping_requests_attribute_stats_independently(
+        self, protein, streaming
+    ):
         """Request-scoped stats stay disjoint when jobs overlap on the
         shared manager (global snapshot deltas would cross-count)."""
         cfg = tiny_config()
         manager = CacheManager(policy="memory")
-        with FTMapService(cache=manager, max_workers=2) as service:
+        with FTMapService(
+            cache=manager, max_workers=2, streaming=streaming
+        ) as service:
             fingerprint = service.register_receptor(protein)
             warm = service.map(fingerprint, cfg)      # fill the cache
             handles = [
@@ -363,10 +421,77 @@ class TestCacheAwareServing:
                 for _ in range(2)
             ]
             results = [h.result(timeout=300) for h in handles]
+        assert warm.streaming == streaming
         assert warm.cache_stats.misses > 0
         for result in results:
             assert result.cache_stats.misses == 0
             assert result.cache_stats.hits == 2 * len(cfg.probe_names)
+            assert_bitwise_equal(warm.result, result.result)
+
+    def test_cold_then_warm_stage_stats_match_across_modes(self, protein):
+        """Whole-stage artifact traffic does not depend on the scheduling
+        mode: every mode looks up, misses and stores the dock results and
+        minimized ensembles exactly as the sequential loop does."""
+        cfg = tiny_config()
+        n = len(cfg.probe_names)
+        per_mode = {}
+        for streaming in STREAMING_MODES:
+            with FTMapService(
+                cache=CacheManager(policy="memory"), streaming=streaming
+            ) as service:
+                before = stage_kind_counts()
+                cold = service.map(protein, cfg)
+                middle = stage_kind_counts()
+                warm = service.map(protein, cfg)
+                after = stage_kind_counts()
+            assert cold.streaming == warm.streaming == streaming
+            assert warm.cache_stats.hits == 2 * n
+            assert warm.cache_stats.misses == 0
+            assert warm.cache_stats.puts == 0
+            per_mode[streaming] = (
+                counts_delta(middle, before),
+                counts_delta(after, middle),
+                cold,
+            )
+        cold_counts, warm_counts, reference = per_mode["sequential"]
+        for kind in STAGE_KINDS:
+            assert cold_counts[kind, "miss"] == n
+            assert cold_counts[kind, "put"] == n
+            assert warm_counts[kind, "hit"] == n
+        for streaming in STREAMING_MODES:
+            assert per_mode[streaming][0] == cold_counts
+            assert per_mode[streaming][1] == warm_counts
+            assert_bitwise_equal(reference.result, per_mode[streaming][2].result)
+
+    def test_warm_process_request_starts_no_workers(self, protein, monkeypatch):
+        """A probe the parent's cache serves whole never reaches a worker,
+        and a request made only of such probes forks nothing."""
+        import repro.workers as workers
+
+        cfg = tiny_config()
+        started = []
+
+        class CountingPool(workers.ProcessWorkerPool):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "ProcessWorkerPool", CountingPool)
+        with FTMapService(
+            cache=CacheManager(policy="memory"), streaming="process"
+        ) as service:
+            cold = service.map(protein, cfg)
+            assert len(started) == 1
+            before = worker_stats()
+            warm = service.map(protein, cfg)
+            after = worker_stats()
+        assert len(started) == 1
+        assert after["stage_tasks_total"] == before["stage_tasks_total"]
+        assert after["pools"] == before["pools"] == 0
+        assert shm_bytes_in_use() == 0
+        assert warm.streaming == "process"
+        assert all(pr.minimize_cached for pr in warm.probe_results.values())
+        assert_bitwise_equal(cold.result, warm.result)
 
     def test_cache_off_reports_no_stats(self, protein):
         cfg = tiny_config(cache_policy="off")
@@ -485,6 +610,106 @@ class TestSharedCacheFleet:
         assert first is not None
         for other in results[1:]:
             assert np.array_equal(other.channels, first.channels)
+
+
+class TestProcessStreamingForkSafety:
+    """Stage workers fork while other request threads run: whatever locks
+    those threads hold at that moment must not hang the worker."""
+
+    def test_dock_stage_task_finishes_with_parent_locks_held_at_fork(
+        self, protein, monkeypatch
+    ):
+        from multiprocessing import resource_tracker
+
+        import repro.obs.logging as obs_logging
+        import repro.workers.pool as pool_mod
+        import repro.workers.shm as shm_mod
+        from repro.structure import build_probe
+        from repro.workers import ProcessWorkerPool, ShmArena
+        from repro.workers import stages
+
+        cfg = tiny_config(cache_policy="memory")
+        manager = CacheManager(policy="memory")
+        locks = [
+            registry()._lock,
+            manager._lock,
+            obs_logging._logger._lock,
+            shm_mod._BYTES_LOCK,
+            pool_mod._STATS_LOCK,
+            resource_tracker._resource_tracker._lock,
+        ]
+        holding, forked = threading.Event(), threading.Event()
+
+        def hold():
+            with contextlib.ExitStack() as stack:
+                for lock in locks:
+                    stack.enter_context(lock)
+                holding.set()
+                forked.wait(30)
+
+        real_start = ProcessWorkerPool._start_worker
+
+        def start_then_release(pool):
+            worker = real_start(pool)   # forks with every lock held
+            forked.set()
+            return worker
+
+        monkeypatch.setattr(
+            ProcessWorkerPool, "_start_worker", start_then_release
+        )
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert holding.wait(10)
+        pool = ProcessWorkerPool(
+            1,
+            initializer=stages.init_stage_worker,
+            initargs=(protein, cfg, stages.tier_config(manager)),
+            name="fork-safety",
+        )
+        arena = ShmArena(prefix="repro-fork-safety")
+        try:
+            out = pool.submit(
+                stages.dock_stage_task, "ethanol", build_probe("ethanol"),
+                arena.reserve("d0"),
+            ).result(timeout=30)
+            arena.lease(out["poses"])
+            assert len(stages.unpack_poses(out["poses"])) == (
+                cfg.num_rotations * cfg.poses_per_rotation
+            )
+            # The worker's own tier served the intermediates.
+            assert out["cache"].lookups > 0
+        finally:
+            forked.set()
+            holder.join(10)
+            pool.close(cancel=True)
+            arena.release_all()
+        assert not holder.is_alive()
+        assert shm_bytes_in_use() == 0
+
+    def test_overlapping_process_jobs_complete(self, protein):
+        """Two process-streamed jobs at a time, each forking its own pool
+        while the other runs; every round finishes, bitwise-equal."""
+        cfg = tiny_config()
+        with FTMapService(streaming="sequential") as service:
+            reference = service.map(protein, cfg)
+        service = FTMapService(
+            cache=CacheManager(policy="off"), max_workers=2,
+            streaming="process",
+        )
+        try:
+            fingerprint = service.register_receptor(protein)
+            for _ in range(5):
+                handles = [
+                    service.submit(MapRequest(receptor=fingerprint, config=cfg))
+                    for _ in range(2)
+                ]
+                for handle in handles:
+                    result = handle.result(timeout=120)
+                    assert result.streaming == "process"
+                    assert_bitwise_equal(reference.result, result.result)
+        finally:
+            service.close(wait=False)
+        assert shm_bytes_in_use() == 0
 
 
 class TestServiceValidation:

@@ -142,7 +142,7 @@ class TestZeroPoseProbe:
     def test_run_ftmap_with_poseless_probe(self, protein, tiny_config, monkeypatch):
         import repro.mapping.ftmap as ftmap_mod
 
-        real_dock = ftmap_mod.dock_probe
+        real_dock = ftmap_mod.compute_dock
 
         def no_poses_for_acetone(receptor, probe, config, cache=None):
             run = real_dock(receptor, probe, config, cache=cache)
@@ -150,7 +150,9 @@ class TestZeroPoseProbe:
                 run.poses = []
             return run
 
-        monkeypatch.setattr(ftmap_mod, "dock_probe", no_poses_for_acetone)
+        # compute_dock is the step every streaming mode runs (process
+        # workers run it alone), so the patch reaches all of them.
+        monkeypatch.setattr(ftmap_mod, "compute_dock", no_poses_for_acetone)
         result = ftmap_mod.run_ftmap(protein, tiny_config)
         empty = result.probe_results["acetone"]
         assert empty.minimized == []
